@@ -13,7 +13,9 @@
 #   PAE_CHECK_JOBS=4 scripts/check.sh   # override build/test parallelism
 #
 # Pass 1 (default flags) configures build-check/ and runs every ctest
-# target (including pae_lint), then runs an instrumented pae-extract
+# target (including pae_lint), repeats the serve, protocol and
+# concurrency tests 20 times at full parallelism, then runs an
+# instrumented pae-extract
 # pass over a small synthetic corpus, validates the emitted
 # --metrics-out JSON report, and packs + deep-verifies the mmap'ed
 # .paez model artifact (pass 1b), drives the pae-serve daemon
@@ -24,11 +26,11 @@
 # hosts without AVX2 would silently fall back to — gets the same
 # coverage as the dispatched default. Pass 2 configures build-check-tsan/ with
 # -DPAE_SANITIZE=thread and runs the thread-pool + concurrency +
-# feature-pipeline + concurrent-interner + serve binaries directly: they
-# are the tests whose failure modes are data races; the serve hot-swap
-# hammer is additionally repeated 100 times because the publish/drain
-# race is the daemon's central invariant, and the concurrent-interner
-# hammer is repeated 20 times for the same reason (CAS slot claims). Pass 3 configures
+# feature-pipeline + serve binaries directly: they are the tests whose
+# failure modes are data races (concurrency_test covers ProcessCorpus
+# and IngestCorpusDir across thread counts); the serve hot-swap hammer
+# is additionally repeated 100 times because the publish/drain race is
+# the daemon's central invariant. Pass 3 configures
 # build-check-asan/ with -DPAE_SANITIZE=address and runs the interner +
 # feature-pipeline + serve + model-artifact binaries: the interner hands
 # out raw string_views into a hand-managed arena, the serve protocol
@@ -71,6 +73,11 @@ cmake -B build-check -S . -DCMAKE_BUILD_TYPE=Release \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
 cmake --build build-check -j "${JOBS}"
 ctest --test-dir build-check --output-on-failure -j "${JOBS}"
+# Stress leg: the socket, stats-counter and thread-count tests repeated
+# at full parallelism, where shared paths or unsynchronized reads show
+# up as intermittent failures that a single pass can miss.
+ctest --test-dir build-check --output-on-failure -j"$(nproc)" \
+      -R 'Serve|Protocol|Concurrency' --repeat until-fail:20
 
 echo "==> pass 1b: instrumented extraction run + metrics report"
 # An end-to-end pae-extract run with --metrics-out proves the metrics
@@ -188,14 +195,10 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
         -DPAE_SANITIZE=thread > /dev/null
   cmake --build build-check-tsan -j "${JOBS}" \
         --target thread_pool_test concurrency_test feature_pipeline_test \
-        concurrent_interner_test streaming_ingest_test serve_test
+        serve_test
   ./build-check-tsan/tests/thread_pool_test
   ./build-check-tsan/tests/concurrency_test
   ./build-check-tsan/tests/feature_pipeline_test
-  ./build-check-tsan/tests/concurrent_interner_test
-  # The full multi-worker ingest pipeline (reader + scanner + segmenter
-  # + both concurrent interners) under TSan, not just the interner.
-  ./build-check-tsan/tests/streaming_ingest_test
   ./build-check-tsan/tests/serve_test
   # The hot-swap hammer is the one test whose whole point is the
   # publish/drain race; a single pass can get lucky, 100 consecutive
@@ -203,12 +206,6 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
   ./build-check-tsan/tests/serve_test \
         --gtest_filter='GenerationCellTest.HotSwapHammer*' \
         --gtest_repeat=100 --gtest_brief=1
-  # Same logic for the lock-free interner: the CAS slot-claim /
-  # publish-wait protocol is its central invariant, so the 8-thread
-  # mixed intern/find hammer gets repeated runs under TSan by name.
-  ./build-check-tsan/tests/concurrent_interner_test \
-        --gtest_filter='ConcurrentInternerHammer*' \
-        --gtest_repeat=20 --gtest_brief=1
 fi
 
 if [[ "${RUN_ASAN}" == "1" ]]; then

@@ -119,11 +119,9 @@ class Pipeline {
   /// Runs the full algorithm on a preprocessed corpus.
   Result<PipelineResult> Run(const ProcessedCorpus& corpus);
 
-  /// Runs on a streaming-ingested corpus: the candidate set harvested
-  /// during the parse pass feeds seed construction directly, skipping
-  /// the DiscoverCandidates re-walk. Byte-identical results to
-  /// Run(ingested.corpus) — the harvest reproduces DiscoverCandidates
-  /// exactly (see core/ingest.h).
+  /// Runs on an ingested corpus: its candidate set feeds seed
+  /// construction directly instead of being discovered again.
+  /// Byte-identical results to Run(ingested.corpus).
   Result<PipelineResult> Run(const IngestedCorpus& ingested);
 
  private:

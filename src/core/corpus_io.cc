@@ -1,17 +1,11 @@
 #include "core/corpus_io.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/normalize.h"
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace pae::core {
@@ -56,20 +50,17 @@ std::vector<std::string> NonEmptyLines(const std::string& content) {
   return lines;
 }
 
-/// Lists <dir>/pages/*.html as sorted native path strings, summing the
-/// on-disk sizes as a side product. All paths share the "<dir>/pages/"
-/// prefix and filenames cannot contain '/', so byte-wise string order
-/// equals fs::path component order — sorting the strings avoids
-/// materializing and comparing fs::path objects per page, which
-/// dominated corpus-open time on large directories.
-Result<std::vector<std::string>> ListPageFiles(const std::string& dir,
-                                               uint64_t* total_bytes) {
+/// Lists <dir>/pages/*.html as sorted native path strings. All paths
+/// share the "<dir>/pages/" prefix and filenames cannot contain '/', so
+/// byte-wise string order equals fs::path component order — sorting the
+/// strings avoids materializing and comparing fs::path objects per page,
+/// which dominated corpus-open time on large directories.
+Result<std::vector<std::string>> ListPageFiles(const std::string& dir) {
   const fs::path pages_dir = fs::path(dir) / "pages";
   if (!fs::exists(pages_dir)) {
     return Status::NotFound(pages_dir.string() + " missing");
   }
   std::vector<std::string> page_paths;
-  if (total_bytes != nullptr) *total_bytes = 0;
   for (const auto& entry : fs::directory_iterator(pages_dir)) {
     const std::string& native = entry.path().native();
     // Suffix match replicating path::extension() == ".html": a filename
@@ -86,11 +77,6 @@ Result<std::vector<std::string>> ListPageFiles(const std::string& dir,
             ? std::string_view(native)
             : std::string_view(native).substr(slash + 1);
     if (filename == kExt) continue;
-    if (total_bytes != nullptr) {
-      std::error_code ec;
-      const uint64_t bytes = entry.file_size(ec);
-      if (!ec) *total_bytes += bytes;
-    }
     page_paths.push_back(native);
   }
   std::sort(page_paths.begin(), page_paths.end());
@@ -193,7 +179,7 @@ Result<Corpus> LoadCorpus(const std::string& dir) {
   PAE_RETURN_IF_ERROR(
       LoadManifest(dir, &corpus.category, &corpus.language));
 
-  Result<std::vector<std::string>> page_paths = ListPageFiles(dir, nullptr);
+  Result<std::vector<std::string>> page_paths = ListPageFiles(dir);
   if (!page_paths.ok()) return page_paths.status();
   for (const std::string& path : page_paths.value()) {
     Result<std::string> html = ReadFile(path);
@@ -210,60 +196,6 @@ Result<Corpus> LoadCorpus(const std::string& dir) {
   }
   LoadLexicons(dir, &corpus.tokenizer_lexicon, &corpus.pos_lexicon);
   return corpus;
-}
-
-Result<StreamingCorpusReader> StreamingCorpusReader::Open(
-    const std::string& dir) {
-  StreamingCorpusReader reader;
-  PAE_RETURN_IF_ERROR(LoadManifest(dir, &reader.resources_.category,
-                                   &reader.resources_.language));
-  LoadLexicons(dir, &reader.resources_.tokenizer_lexicon,
-               &reader.resources_.pos_lexicon);
-  if (Result<std::string> queries = ReadFile(fs::path(dir) / "queries.txt");
-      queries.ok()) {
-    reader.query_log_ = NonEmptyLines(queries.value());
-  }
-
-  Result<std::vector<std::string>> page_paths =
-      ListPageFiles(dir, &reader.total_page_bytes_);
-  if (!page_paths.ok()) return page_paths.status();
-  reader.page_paths_ = std::move(page_paths).value();
-  reader.product_ids_.reserve(reader.page_paths_.size());
-  for (const std::string& path : reader.page_paths_) {
-    reader.product_ids_.push_back(ProductIdFromPagePath(path));
-  }
-  return reader;
-}
-
-Status StreamingCorpusReader::ReadPageHtml(size_t page,
-                                           std::string* html) const {
-  PAE_DCHECK_LT(page, page_paths_.size());
-  // Raw open/fstat/read: an ifstream costs a heap-allocated filebuf and
-  // locale plumbing per construction, which is real money at one file
-  // per page — this is the per-page IO hot path.
-  const int fd = ::open(page_paths_[page].c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::NotFound("cannot open " + page_paths_[page]);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::Internal("cannot stat " + page_paths_[page]);
-  }
-  html->resize(static_cast<size_t>(st.st_size));
-  size_t done = 0;
-  while (done < html->size()) {
-    const ssize_t got =
-        ::read(fd, html->data() + done, html->size() - done);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      ::close(fd);
-      return Status::Internal("short read on " + page_paths_[page]);
-    }
-    done += static_cast<size_t>(got);
-  }
-  ::close(fd);
-  return Status::Ok();
 }
 
 Result<CorpusResources> LoadCorpusResources(const std::string& dir) {

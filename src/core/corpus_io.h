@@ -1,7 +1,6 @@
 #ifndef PAE_CORE_CORPUS_IO_H_
 #define PAE_CORE_CORPUS_IO_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,47 +44,6 @@ Result<CorpusResources> LoadCorpusResources(const std::string& dir);
 /// Reads a corpus previously written by SaveCorpus (or assembled by
 /// hand in the same layout).
 Result<Corpus> LoadCorpus(const std::string& dir);
-
-/// Page-granular reader over the same on-disk layout, built for the
-/// single-pass streaming ingestion (core/ingest.h): `Open` reads only
-/// the O(lexicon) resources and lists + sorts the page files; the page
-/// bytes are then read one page at a time by `ReadPageHtml`, which is
-/// safe to call from many threads at once — each call opens its own
-/// descriptor and reads straight into the caller's reused buffer, so
-/// parse workers overlap page-file IO with parsing instead of waiting
-/// behind LoadCorpus materializing the whole corpus first.
-///
-/// Page order (and hence page index ↔ product id) is the sorted-path
-/// order LoadCorpus uses, so index p here is page p there.
-class StreamingCorpusReader {
- public:
-  /// Reads manifest/lexicons/queries and lists pages/. Fails like
-  /// LoadCorpus does (missing manifest or pages/ directory).
-  static Result<StreamingCorpusReader> Open(const std::string& dir);
-
-  const std::string& category() const { return resources_.category; }
-  text::Language language() const { return resources_.language; }
-  const CorpusResources& resources() const { return resources_; }
-  const std::vector<std::string>& query_log() const { return query_log_; }
-
-  size_t page_count() const { return page_paths_.size(); }
-  const std::string& product_id(size_t page) const {
-    return product_ids_[page];
-  }
-  /// Sum of on-disk page sizes (for pre-sizing dictionaries).
-  uint64_t total_page_bytes() const { return total_page_bytes_; }
-
-  /// Reads page `page`'s HTML into `*html`, reusing its capacity.
-  /// Thread-safe: no reader state is touched.
-  Status ReadPageHtml(size_t page, std::string* html) const;
-
- private:
-  CorpusResources resources_;
-  std::vector<std::string> query_log_;
-  std::vector<std::string> page_paths_;
-  std::vector<std::string> product_ids_;
-  uint64_t total_page_bytes_ = 0;
-};
 
 /// Writes the truth sample (truth.tsv + aliases.tsv) under `dir`.
 Status SaveTruth(const TruthSample& truth, const std::string& dir);

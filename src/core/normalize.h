@@ -12,12 +12,6 @@ namespace pae::core {
 /// must not affect the verdict.
 std::string NormalizeValue(std::string_view value);
 
-/// Appends NormalizeValue(value) to `*out` without the return-value
-/// temporary — the per-entry hot path of the streaming candidate
-/// harvest (core/ingest.cc) builds its interner keys in a reused
-/// scratch buffer.
-void AppendNormalizedValue(std::string_view value, std::string* out);
-
 /// Key used in pair/triple lookup maps: `attr` and `value` joined with a
 /// '\t' (values are normalized by the caller).
 std::string PairKey(std::string_view attribute, std::string_view value);

@@ -87,9 +87,8 @@ Seed BuildSeed(const ProcessedCorpus& corpus, const PreprocessConfig& config);
 
 /// The chain after candidate discovery (aggregation → cleaning →
 /// diversification → assembly), for callers that already hold the
-/// candidate set — the streaming ingestion (core/ingest.h) harvests it
-/// during the parse pass instead of re-walking every table. `BuildSeed`
-/// is exactly `DiscoverCandidates` + this.
+/// candidate set (IngestCorpusDir returns one, core/ingest.h).
+/// `BuildSeed` is exactly `DiscoverCandidates` + this.
 Seed BuildSeedFromCandidates(const ProcessedCorpus& corpus,
                              const CandidateSet& candidates,
                              const PreprocessConfig& config);

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "text/utf8.h"
 #include "util/strings.h"
@@ -13,10 +12,10 @@ namespace {
 
 std::string ToLowerAscii(std::string_view s) { return pae::AsciiToLower(s); }
 
-}  // namespace
+// Both predicates sit on the per-tag hot paths of ParseHtml and
+// ExtractText, so they branch on length instead of hashing.
 
-// Both predicates sit on the per-tag hot path of ParseHtml and the
-// streaming scanner, so they branch on length instead of hashing.
+/// True for HTML void elements (br, img, ...) which never take children.
 bool IsVoidTag(std::string_view tag) {
   switch (tag.size()) {
     case 2:
@@ -35,6 +34,8 @@ bool IsVoidTag(std::string_view tag) {
   }
 }
 
+/// True for tags ExtractText treats as block-level ('\n' inserted at
+/// their boundaries).
 bool IsBlockTag(std::string_view tag) {
   switch (tag.size()) {
     case 1:
@@ -62,6 +63,8 @@ bool IsBlockTag(std::string_view tag) {
       return false;
   }
 }
+
+}  // namespace
 
 std::string DecodeEntities(std::string_view s) {
   std::string out;

@@ -24,15 +24,6 @@ struct HtmlNode {
   }
 };
 
-/// True for tags ExtractText treats as block-level ('\n' inserted at
-/// their boundaries). Shared by the DOM walk and the streaming scanner
-/// so the two text extractions cannot drift.
-bool IsBlockTag(std::string_view tag);
-
-/// True for HTML void elements (br, img, ...) which never take
-/// children.
-bool IsVoidTag(std::string_view tag);
-
 /// Parses HTML into a DOM tree rooted at a synthetic "#root" element.
 /// The parser is tolerant: unmatched close tags are ignored, unclosed
 /// elements are closed at end of input, comments/doctype are skipped,

@@ -4,7 +4,10 @@
 
 namespace pae::html {
 
-std::string CollapseCellText(std::string_view raw) {
+namespace {
+/// Collects the text of one cell, collapsing internal newlines to spaces.
+std::string CellText(const HtmlNode& cell) {
+  std::string raw = ExtractText(cell);
   std::string collapsed;
   collapsed.reserve(raw.size());
   bool last_space = false;
@@ -18,12 +21,6 @@ std::string CollapseCellText(std::string_view raw) {
     }
   }
   return std::string(StripAsciiWhitespace(collapsed));
-}
-
-namespace {
-/// Collects the text of one cell, collapsing internal newlines to spaces.
-std::string CellText(const HtmlNode& cell) {
-  return CollapseCellText(ExtractText(cell));
 }
 }  // namespace
 

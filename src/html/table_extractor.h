@@ -17,11 +17,6 @@ struct DictionaryTable {
 /// Cell grid of one <table> (rows of trimmed cell texts).
 using TableGrid = std::vector<std::vector<std::string>>;
 
-/// Normalizes one cell's extracted text: internal newlines/tabs/space
-/// runs collapse to a single space, edges are trimmed. Shared by the
-/// DOM grid extraction and the streaming scanner.
-std::string CollapseCellText(std::string_view raw);
-
 /// Builds the cell grid of a single <table> element.
 TableGrid ExtractGrid(const HtmlNode& table);
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "html/parser.h"
 #include "html/table_extractor.h"
 
@@ -212,6 +216,159 @@ TEST(GridToDictionaryTest, AmbiguousTwoByTwoReadAsRows) {
   ASSERT_EQ(dict.entries.size(), 2u);
   EXPECT_EQ(dict.entries[0].first, "A");
   EXPECT_EQ(dict.entries[0].second, "B");
+}
+
+// ---------------- golden tag soup ----------------
+
+/// Dictionary tables as "{key=value; ...}" per table, in page order.
+std::string SerializeTables(const std::vector<DictionaryTable>& tables) {
+  std::string out;
+  for (const DictionaryTable& table : tables) {
+    out += "{";
+    for (size_t i = 0; i < table.entries.size(); ++i) {
+      if (i > 0) out += "; ";
+      out += table.entries[i].first + "=" + table.entries[i].second;
+    }
+    out += "}";
+  }
+  return out;
+}
+
+struct GoldenPage {
+  std::string html;
+  std::string text;    // ExtractText
+  std::string tables;  // SerializeTables(ExtractDictionaryTables)
+};
+
+// Recorded outputs of the tolerant parser on malformed markup. Seed
+// tables and tagged sentences are built from exactly these recovery
+// rules, so a change to any line here changes extracted triples.
+TEST(HtmlGoldenTest, HandcraftedEdgeCases) {
+  const std::vector<GoldenPage> cases = {
+      // Plain structure and block breaks.
+      {"",
+       "",
+       ""},
+      {"just text, no markup",
+       "just text, no markup",
+       ""},
+      {"<p>one</p><p>two</p>",
+       "one\ntwo\n",
+       ""},
+      {"<div>a<span>b</span>c</div>",
+       "abc\n",
+       ""},
+      {"a<br>b<br/>c<hr>d",
+       "a\nb\ncd",
+       ""},
+      // Well-formed n×2 and 2×n dictionary tables.
+      {"<table><tr><td>Brand</td><td>Acme</td></tr>"
+       "<tr><td>Zoom</td><td>10x</td></tr></table>",
+       "Brand\nAcme\nZoom\n10x\n",
+       "{Brand=Acme; Zoom=10x}"},
+      {"<table><tr><th>Brand</th><th>Zoom</th></tr>"
+       "<tr><td>Acme</td><td>10x</td></tr></table>",
+       "Brand\nZoom\nAcme\n10x\n",
+       "{Brand=Zoom; Acme=10x}"},
+      // Nested table inside a cell: only the inner/outer grids ParseHtml
+      // sees may become dictionaries.
+      {"<table><tr><td>k</td><td><table><tr><td>a</td><td>b</td></tr>"
+       "<tr><td>c</td><td>d</td></tr></table></td></tr>"
+       "<tr><td>x</td><td>y</td></tr></table>",
+       "k\na\nb\nc\nd\nx\ny\n",
+       "{k=a b c d; a=b; c=d; x=y}{a=b; c=d}"},
+      // Unclosed cells / rows / table: everything closes at end of input.
+      {"<table><tr><td>Brand<td>Acme<tr><td>Zoom<td>10x",
+       "Brand\nAcme\nZoom\n10x\n",
+       ""},
+      {"<table><tr><td>a</td><td>b",
+       "a\nb\n",
+       ""},
+      // Cells with markup, entities, and whitespace runs to collapse.
+      {"<table><tr><td> a&amp;b \n c </td><td><b>v</b>1</td></tr>"
+       "<tr><td>k2</td><td>v2</td></tr></table>",
+       " a&b \n c \nv1\nk2\nv2\n",
+       "{a&b c=v1; k2=v2}"},
+      // Empty cells are dropped by GridToDictionary.
+      {"<table><tr><td></td><td>v</td></tr><tr><td>k</td><td>w</td></tr>"
+       "</table>",
+       "v\nk\nw\n",
+       "{k=w}"},
+      // Non-dictionary shapes: 1 row, ragged rows, 3 columns.
+      {"<table><tr><td>only</td><td>row</td></tr></table>",
+       "only\nrow\n",
+       ""},
+      {"<table><tr><td>a</td></tr><tr><td>b</td><td>c</td></tr></table>",
+       "a\nb\nc\n",
+       ""},
+      {"<table><tr><td>a</td><td>b</td><td>c</td></tr>"
+       "<tr><td>d</td><td>e</td><td>f</td></tr></table>",
+       "a\nb\nc\nd\ne\nf\n",
+       "{a=d; b=e; c=f}"},
+      // script/style bodies are dropped, even with fake tags inside.
+      {"before<script>var x = '<td>not a cell</td>';</script>after",
+       "beforeafter",
+       ""},
+      {"a<style>p { content: \"</table>\" }</style>b",
+       "ab",
+       ""},
+      {"<script>unterminated",
+       "",
+       ""},
+      // Comments, doctype, processing cruft.
+      {"<!doctype html><!-- c --><p>x<!-- <td>fake</td> --></p>",
+       "x\n",
+       ""},
+      {"<!-- unterminated comment <p>gone",
+       "",
+       ""},
+      // Void and self-closing elements never take children.
+      {"<img src=\"a.png\">text<input value=\"v\"><meta charset=\"utf-8\">",
+       "text",
+       ""},
+      {"<div/>tail",
+       "tail",
+       ""},
+      // Unmatched close tags are ignored; stray brackets survive.
+      {"</div>text</table></td>more",
+       "textmore",
+       ""},
+      {"a < b and c > d",
+       "a  d",
+       ""},
+      {"tail<",
+       "tail<",
+       ""},
+      {"tail<t",
+       "tail<t",
+       ""},
+      {"<>empty tag<>",
+       "empty tag",
+       ""},
+      // Entities in visible text, including numeric and unknown ones.
+      {"&lt;tag&gt; &amp; &quot;q&quot; &#65;&#x42; &unknown; &#xZZ;",
+       "<tag> & \"q\" AB &unknown; ",
+       ""},
+      // Attributes with '>' inside quotes.
+      {"<div title=\"a > b\">inside</div>",
+       " b\">inside\n",
+       ""},
+      // Deep unbalanced nesting.
+      {"<div><p><span><b>deep</div>after",
+       "deep\nafter",
+       ""},
+      // Multi-byte UTF-8 page text around structure.
+      {"<p>光学ズーム 10倍。</p><table><tr><td>画素</td><td>2,000万</td></tr>"
+       "<tr><td>ズーム</td><td>10倍</td></tr></table>",
+       "光学ズーム 10倍。\n画素\n2,000万\nズーム\n10倍\n",
+       "{画素=2,000万; ズーム=10倍}"},
+  };
+  for (const GoldenPage& golden : cases) {
+    SCOPED_TRACE(golden.html);
+    const std::unique_ptr<HtmlNode> dom = ParseHtml(golden.html);
+    EXPECT_EQ(ExtractText(*dom), golden.text);
+    EXPECT_EQ(SerializeTables(ExtractDictionaryTables(*dom)), golden.tables);
+  }
 }
 
 }  // namespace

@@ -7,13 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -56,8 +58,20 @@ std::shared_ptr<const core::ExtractionEngine> MakeEngine() {
       core::EngineOptions{});
 }
 
-std::string TestSocketPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
+/// Polls `read_errors()` until it reports at least `want` protocol
+/// errors or 2 s pass, and returns the last reading. A worker counts the
+/// error when it reads the bad frame, which can be after the attacker
+/// has hung up and the test has moved on.
+template <typename ReadErrors>
+uint64_t AwaitProtocolErrors(uint64_t want, ReadErrors read_errors) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  uint64_t seen = read_errors();
+  while (seen < want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    seen = read_errors();
+  }
+  return seen;
 }
 
 /// A server fixture shared by the adversarial tests: unix socket, 4
@@ -65,13 +79,15 @@ std::string TestSocketPath(const std::string& name) {
 class ProtocolServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    options_.unix_path = TestSocketPath("pae_protocol_test.sock");
+    options_.unix_path = test::ScratchPath("pae_protocol_test.sock");
     options_.workers = 4;
     server_ = std::make_unique<serve::Server>(options_);
     ASSERT_TRUE(server_->Start().ok());
     server_->Publish(MakeEngine());
   }
   void TearDown() override { server_->Stop(); }
+
+  uint64_t ServerErrors() const { return server_->stats().protocol_errors; }
 
   /// A healthy request on a fresh connection must succeed — the
   /// liveness probe run after every attack.
@@ -226,7 +242,7 @@ TEST_F(ProtocolServerTest, TruncatedFrameLatchesOnlyThatConnection) {
   ASSERT_TRUE(serve::WriteFull(fd.value(), "0123456789", 10).ok());
   fd.value().Close();
   ExpectServerStillHealthy();
-  EXPECT_GE(server_->stats().protocol_errors, 1u);
+  EXPECT_GE(AwaitProtocolErrors(1, [&] { return ServerErrors(); }), 1u);
 }
 
 TEST_F(ProtocolServerTest, OversizeLengthWordsRejected) {
@@ -244,7 +260,7 @@ TEST_F(ProtocolServerTest, OversizeLengthWordsRejected) {
     EXPECT_FALSE(read.ok()) << "length=" << length;
     ExpectServerStillHealthy();
   }
-  EXPECT_GE(server_->stats().protocol_errors, 3u);
+  EXPECT_GE(AwaitProtocolErrors(3, [&] { return ServerErrors(); }), 3u);
 }
 
 TEST_F(ProtocolServerTest, ZeroLengthFrameGetsErrorResponse) {
@@ -337,9 +353,13 @@ TEST_F(ProtocolServerTest, HealthyConnectionSurvivesConcurrentAttack) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().triples.size(), 1u);
   }
-  auto stats = client.value().Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.value().protocol_errors, 4u);
+  // The count as the Stats request reports it over the wire.
+  const uint64_t errors = AwaitProtocolErrors(4, [&]() -> uint64_t {
+    auto stats = client.value().Stats();
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return stats.ok() ? stats.value().protocol_errors : 0;
+  });
+  EXPECT_GE(errors, 4u);
 }
 
 TEST_F(ProtocolServerTest, PublishOfMissingModelFailsWithoutSwap) {

@@ -21,6 +21,7 @@
 #include "core/normalize.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/generation.h"
 #include "serve/loadgen.h"
@@ -90,10 +91,6 @@ std::vector<core::Triple> BatchReference(const std::string& product_id,
   core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
   GenTagger tagger(tag);
   return core::ExtractWithModel(tagger, processed, core::ApplyOptions{});
-}
-
-std::string TestSocketPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
 // ---------------------------------------------------------------------
@@ -245,9 +242,8 @@ TEST(GenerationCellTest, HotSwapHammerPackedArtifact) {
     auto trained = std::make_shared<crf::CrfTagger>(options);
     PAE_CHECK(trained->Train(data).ok());
 
-    const std::string model_path =
-        TestSocketPath("hammer_model.crf");  // temp-dir path helper
-    const std::string paez_path = TestSocketPath("hammer_model.paez");
+    const std::string model_path = test::ScratchPath("hammer_model.crf");
+    const std::string paez_path = test::ScratchPath("hammer_model.paez");
     PAE_CHECK(trained->Save(model_path).ok());
     PAE_CHECK(core::PackModelArtifact(*trained, nullptr,
                                       core::PackOptions(), paez_path)
@@ -382,8 +378,7 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
       trained.value().final_tagger.get());
   ASSERT_NE(crf_tagger, nullptr);
 
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / "serve_crf_engine";
+  const std::filesystem::path dir = test::ScratchPath("serve_crf_engine");
   std::filesystem::create_directories(dir);
   const std::string model_path = (dir / "model.crf").string();
   ASSERT_TRUE(crf_tagger->Save(model_path).ok());
@@ -440,7 +435,7 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
 
 TEST(ServerSmokeTest, TwoHundredRequestsOneSwapCleanShutdown) {
   serve::ServerOptions options;
-  options.unix_path = TestSocketPath("pae_serve_smoke.sock");
+  options.unix_path = test::ScratchPath("pae_serve_smoke.sock");
   options.workers = 4;
   serve::Server server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -491,7 +486,7 @@ TEST(ServerSmokeTest, TwoHundredRequestsOneSwapCleanShutdown) {
 
 TEST(ServerSmokeTest, ExtractBeforePublishFailsPrecondition) {
   serve::ServerOptions options;
-  options.unix_path = TestSocketPath("pae_serve_empty.sock");
+  options.unix_path = test::ScratchPath("pae_serve_empty.sock");
   options.workers = 1;
   serve::Server server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -616,7 +611,7 @@ TEST(LoadgenTest, QuantileEdgeCases) {
 
 TEST(LoadgenTest, AggregatesAreIdenticalAtOneAndEightThreads) {
   serve::ServerOptions server_options;
-  server_options.unix_path = TestSocketPath("pae_serve_loadgen.sock");
+  server_options.unix_path = test::ScratchPath("pae_serve_loadgen.sock");
   server_options.workers = 8;
   serve::Server server(server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -656,7 +651,7 @@ TEST(LoadgenTest, AggregatesAreIdenticalAtOneAndEightThreads) {
 
 TEST(LoadgenTest, SwapHookFiresExactlyOnceAtThreshold) {
   serve::ServerOptions server_options;
-  server_options.unix_path = TestSocketPath("pae_serve_swap.sock");
+  server_options.unix_path = test::ScratchPath("pae_serve_swap.sock");
   server_options.workers = 4;
   serve::Server server(server_options);
   ASSERT_TRUE(server.Start().ok());

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "text/char_class.h"
 #include "text/labeled_sequence.h"
 #include "text/negation.h"
@@ -249,6 +253,125 @@ TEST(SentenceTest, NewlinesSplit) {
 TEST(SentenceTest, EmptyInput) {
   EXPECT_TRUE(SplitSentences("").empty());
   EXPECT_TRUE(SplitSentences(" \n ").empty());
+}
+
+// ---------------- segmentation golden ----------------
+
+/// ProcessCorpus's per-page text chain (SplitSentences → Tokenize →
+/// Tag), one "index: token/POS ..." line per kept sentence.
+std::string Segment(Language lang, const std::vector<std::string>& lexicon,
+                    const PosLexicon& pos_lexicon, const std::string& page) {
+  const std::unique_ptr<Tokenizer> tokenizer = MakeTokenizer(lang, lexicon);
+  const PosTagger tagger(lang, pos_lexicon);
+  std::string out;
+  int sentence_index = 0;
+  for (const std::string& sentence : SplitSentences(page)) {
+    const std::vector<std::string> tokens = tokenizer->Tokenize(sentence);
+    if (tokens.empty()) continue;
+    const std::vector<std::string> tags = tagger.Tag(tokens);
+    if (!out.empty()) out += "\n";
+    out += std::to_string(sentence_index++) + ":";
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      out += " " + tokens[i] + "/" + tags[i];
+    }
+  }
+  return out;
+}
+
+struct GoldenText {
+  std::string page;
+  std::string sentences;  // Segment(...)
+};
+
+// Recorded segmentations of boundary cases: decimal points, fullwidth
+// markers and digits, empty sentences, lexicon matches, and invalid
+// UTF-8 (each bad byte decodes to U+FFFD).
+TEST(SegmentationGoldenTest, HandcraftedJapanese) {
+  PosLexicon pos_lexicon;
+  pos_lexicon.word_tags = {{"万", "UNIT"}, {"mm", "UNIT"}, {"倍", "UNIT"},
+                           {"の", "PRT"},  {"kg", "UNIT"}};
+  const std::vector<std::string> lexicon = {"光学ズーム", "手ぶれ補正", "画素",
+                                            "防水", "ズーム"};
+  const std::vector<GoldenText> cases = {
+      {"",
+       ""},
+      {"光学ズーム10倍。手ぶれ補正つき。",
+       "0: 光/NN 学/NN ズーム/NN 10/NUM 倍/UNIT 。/SYM\n1: 手/NN ぶ/PRT れ/PRT"
+       " 補/NN 正/NN つ/PRT き/PRT 。/SYM"},
+      // '.' between digits does not split; elsewhere it does.
+      {"重さ1.5kg。価格は10.000円",
+       "0: 重/NN さ/PRT 1/NUM ./SYM 5/NUM kg/UNIT 。/SYM\n1: 価/NN 格/NN"
+       " は/PRT 10/NUM ./SYM 000/NUM 円/NN"},
+      {"バージョン2.betaです。",
+       "0: バージョン/NN 2/NUM ./SYM\n1: beta/NN で/PRT す/PRT 。/SYM"},
+      {"末尾が数字で終わる1.",
+       "0: 末/NN 尾/NN が/PRT 数/NN 字/NN で/PRT 終/NN わ/PRT る/PRT 1/NUM"
+       " ./SYM"},
+      {".先頭ピリオド",
+       "0: ./SYM\n1: 先/NN 頭/NN ピリオド/NN"},
+      // Every boundary marker, including fullwidth.
+      {"あ。い!う?え！お？か\nき",
+       "0: あ/PRT 。/SYM\n1: い/PRT !/SYM\n2: う/PRT ?/SYM\n3: え/PRT ！/SYM\n"
+       "4: お/PRT ？/SYM\n5: か/PRT\n6: き/PRT"},
+      // Fullwidth digits around '.' (IsDigitCp covers FF10-FF19).
+      {"値は１.５です",
+       "0: 値/NN は/PRT １/NUM ./SYM ５/NUM で/PRT す/PRT"},
+      // Whitespace-only and empty sentences are dropped without
+      // consuming a sentence_index.
+      {"  \n  。。  実文です。 \n ",
+       "0: 。/SYM\n1: 。/SYM\n2: 実/NN 文/NN で/PRT す/PRT 。/SYM"},
+      // Lexicon longest-match vs single-char fallback.
+      {"光学ズームと光学と補正",
+       "0: 光/NN 学/NN ズーム/NN と/PRT 光/NN 学/NN と/PRT 補/NN 正/NN"},
+      // Latin/katakana/digit runs inside CJK text.
+      {"SONYカメラABC123で2,000万画素",
+       "0: SONY/NN カメラ/NN ABC/NN 123/NUM で/PRT 2/NUM ,/SYM 000/NUM 万/UNIT"
+       " 画素/NN"},
+      // Invalid UTF-8: stray continuation, truncated lead, 0xFF.
+      {std::string("正\x80常。") + "\xE3\x81" + "。末尾\xFF",
+       "0: 正/NN �/SYM 常/NN 。/SYM\n1: �/SYM �/SYM 。/SYM\n2: 末/NN 尾/NN"
+       " �/SYM"},
+      {std::string("\xC3") /* truncated at end of page */,
+       "0: �/SYM"},
+      // A sentence whose only content is invalid bytes.
+      {std::string("\x80\x80。ほげ。"),
+       "0: �/SYM �/SYM 。/SYM\n1: ほ/PRT げ/PRT 。/SYM"},
+  };
+  for (const GoldenText& golden : cases) {
+    SCOPED_TRACE(golden.page);
+    EXPECT_EQ(Segment(Language::kJa, lexicon, pos_lexicon, golden.page),
+              golden.sentences);
+  }
+}
+
+TEST(SegmentationGoldenTest, HandcraftedGerman) {
+  PosLexicon pos_lexicon;
+  pos_lexicon.word_tags = {{"mm", "UNIT"}, {"kg", "UNIT"}, {"Watt", "UNIT"}};
+  const std::vector<GoldenText> cases = {
+      {"",
+       ""},
+      {"Die Maschine hat 15 bar Druck. Sie wiegt 4,5 kg.",
+       "0: Die/NN Maschine/NN hat/NN 15/NUM bar/NN Druck/NN ./SYM\n1: Sie/NN"
+       " wiegt/NN 4,5/NUM kg/UNIT ./SYM"},
+      // Decimal points and thousands separators stay inside numbers.
+      {"Preis 1.299 Euro. Fassungsvermögen 1,8 Liter!",
+       "0: Preis/NN 1.299/NUM Euro/NN ./SYM\n1: Fassungsvermögen/NN 1,8/NUM"
+       " Liter/NN !/SYM"},
+      {"Ende ohne Punkt",
+       "0: Ende/NN ohne/NN Punkt/NN"},
+      {"Satz eins.Satz zwei?Satz drei",
+       "0: Satz/NN eins/NN ./SYM\n1: Satz/NN zwei/NN ?/SYM\n2: Satz/NN drei/NN"},
+      {"Umlaute: Kaffeemaschine für Espresso übergroß.",
+       "0: Umlaute/NN :/SYM Kaffeemaschine/NN für/NN Espresso/NN übergroß/NN"
+       " ./SYM"},
+      {std::string("kaputt\xC0\xC0 bytes. Noch ein Satz."),
+       "0: kaputt/NN ��/NN bytes/NN ./SYM\n1: Noch/NN ein/NN Satz/NN ./SYM"},
+  };
+  for (const GoldenText& golden : cases) {
+    SCOPED_TRACE(golden.page);
+    EXPECT_EQ(Segment(Language::kDe, {}, pos_lexicon, golden.page),
+              golden.sentences);
+  }
 }
 
 // ---------------- vocab ----------------

@@ -1,9 +1,13 @@
 // CLI: runs the full PAE bootstrap on an on-disk corpus and writes the
-// extracted <product, attribute, value> triples as TSV.
+// extracted <product, attribute, value> triples as TSV, or tags the
+// corpus with a persisted CRF model (--apply-model). Both modes read the
+// corpus through core::IngestCorpusDir.
 //
 //   pae-extract --in /tmp/v --out /tmp/v/triples.tsv
 //   pae-extract --in /tmp/v --out out.tsv --model bilstm --iterations 3
 //   pae-extract --in /tmp/v --out out.tsv --eval       # score vs truth.tsv
+//   pae-extract --in /tmp/v --out out.tsv --save-model m.crf
+//   pae-extract --in /tmp/w --out out.tsv --apply-model m.crf  # or m.paez
 //
 // Flags: --model crf|bilstm|ensemble-intersect|ensemble-union
 //        --iterations N (default 5)      --seed S
@@ -11,9 +15,7 @@
 //        --no-diversification            --min-confidence X
 //        --epochs N (BiLSTM)             --eval
 //        --metrics-out report.json ("-" = stdout) --no-metrics
-//        --ingest streaming|barrier (default streaming: single-pass
-//          page-at-a-time ingestion; barrier = load-everything-first
-//          reference path; outputs are byte-identical)
+//        --threads N (0 = all hardware threads)
 
 #include <iostream>
 #include <string>
@@ -71,8 +73,6 @@ int Usage() {
             << "                    collection)\n"
             << "                   [--threads N]  (0 = all hardware threads;\n"
             << "                    output is identical for every N)\n"
-            << "                   [--ingest streaming|barrier]  (default\n"
-            << "                    streaming; byte-identical outputs)\n"
             << "                   [--save-model m.crf]  (CRF only; also\n"
             << "                    writes m.crf.pairs)\n"
             << "       pae-extract --in <dir> --out <tsv> --apply-model\n"
@@ -98,33 +98,15 @@ int main(int argc, char** argv) {
     pae::util::MetricsRegistry::Global().set_enabled(false);
   }
 
-  const std::string ingest_mode = args.GetString("ingest", "streaming");
-  if (ingest_mode != "streaming" && ingest_mode != "barrier") {
-    std::cerr << "--ingest must be 'streaming' or 'barrier', got '"
-              << ingest_mode << "'\n";
-    return 2;
+  pae::core::IngestOptions ingest_options;
+  ingest_options.threads = threads;
+  auto ingest_result = pae::core::IngestCorpusDir(in_dir, ingest_options);
+  if (!ingest_result.ok()) {
+    std::cerr << ingest_result.status().ToString() << "\n";
+    return 1;
   }
-  const bool streaming = ingest_mode == "streaming";
-
-  pae::core::IngestedCorpus ingested;
-  if (streaming) {
-    pae::core::IngestOptions ingest_options;
-    ingest_options.threads = threads;
-    auto ingest_result = pae::core::IngestCorpusDir(in_dir, ingest_options);
-    if (!ingest_result.ok()) {
-      std::cerr << ingest_result.status().ToString() << "\n";
-      return 1;
-    }
-    ingested = std::move(ingest_result).value();
-  } else {
-    auto corpus_result = pae::core::LoadCorpus(in_dir);
-    if (!corpus_result.ok()) {
-      std::cerr << corpus_result.status().ToString() << "\n";
-      return 1;
-    }
-    ingested.corpus = pae::core::ProcessCorpus(corpus_result.value(), threads);
-  }
-  pae::core::ProcessedCorpus& corpus = ingested.corpus;
+  const pae::core::IngestedCorpus ingested = std::move(ingest_result).value();
+  const pae::core::ProcessedCorpus& corpus = ingested.corpus;
   std::cerr << "loaded " << corpus.pages.size() << " pages ("
             << corpus.category << ", "
             << pae::text::LanguageName(corpus.language) << ")\n";
@@ -223,7 +205,7 @@ int main(int argc, char** argv) {
   }
 
   pae::core::Pipeline pipeline(config);
-  auto result = streaming ? pipeline.Run(ingested) : pipeline.Run(corpus);
+  auto result = pipeline.Run(ingested);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;

@@ -79,10 +79,9 @@ struct Violation {
 ///                        inside a ParallelFor body — both mutate
 ///                        single-writer open-addressing tables, so a
 ///                        worker calling them races every other worker.
-///                        Concurrent interning goes through
-///                        util::ConcurrentStringInterner: workers hold
-///                        handles, one Canonicalize after the join
-///                        restores deterministic dense ids.
+///                        Intern serially after the join: workers fill
+///                        per-item slots, one serial pass assigns the
+///                        dense ids in a deterministic order.
 inline constexpr const char* kAllRules[] = {
     "hot-path-string-map", "raw-random",        "raw-stdio",
     "naked-assert",        "include-guard",     "float-accumulator",
