@@ -1,28 +1,23 @@
 // Concurrency suite: byte-identical results across thread counts for
-// every parallelized stage (preprocessing, on-disk ingestion, bootstrap,
-// apply, CRF training, sharded word2vec), plus scheduling stress. Run it
-// under -DPAE_SANITIZE=thread to turn the determinism checks into race
+// every parallelized stage (preprocessing, bootstrap, apply, CRF
+// training, sharded word2vec), plus scheduling stress. Run it under
+// -DPAE_SANITIZE=thread to turn the determinism checks into race
 // detection as well (scripts/check.sh does).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
-#include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/apply.h"
 #include "core/bootstrap.h"
-#include "core/corpus_io.h"
 #include "core/eval.h"
-#include "core/ingest.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "embed/word2vec.h"
-#include "scratch_dir.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -76,84 +71,6 @@ TEST(ConcurrencyTest, ProcessCorpusIdenticalAcrossThreadCounts) {
     }
     ASSERT_EQ(a.tables.size(), b.tables.size()) << "page " << p;
   }
-}
-
-// Field-for-field serializations: string equality is equality of
-// everything the downstream pipeline can observe.
-std::string Serialize(const core::ProcessedCorpus& corpus) {
-  std::ostringstream os;
-  os << corpus.category << '\x1f' << static_cast<int>(corpus.language)
-     << '\x1f';
-  for (const std::string& q : corpus.query_log) os << q << '\x1f';
-  for (const core::ProcessedPage& page : corpus.pages) {
-    os << '\x1e' << page.product_id << '\x1f';
-    for (const auto& sentence : page.sentences) {
-      os << sentence.sentence_index << '\x1f';
-      for (const auto& token : sentence.tokens) os << token << '\x1f';
-      for (const auto& tag : sentence.pos) os << tag << '\x1f';
-    }
-    for (const auto& table : page.tables) {
-      for (const auto& [name, value] : table.entries) {
-        os << name << '\x1f' << value << '\x1f';
-      }
-    }
-  }
-  return os.str();
-}
-
-std::string Serialize(const core::CandidateSet& candidates) {
-  std::ostringstream os;
-  for (const core::CandidatePair& pair : candidates.pairs) {
-    os << pair.attribute << '\x1f' << pair.value << '\x1f' << pair.count
-       << '\x1f';
-    for (const std::string& pid : pair.product_ids) os << pid << '\x1f';
-    os << '\x1e';
-  }
-  return os.str();
-}
-
-TEST(ConcurrencyTest, IngestCorpusDirMatchesModularPipeline) {
-  const std::filesystem::path root = test::ScratchDir();
-
-  datagen::GeneratorConfig config;
-  config.num_products = 40;
-  config.seed = 4242;
-  // One Japanese and one German category: both tokenizers.
-  for (const datagen::CategoryId id :
-       {datagen::CategoryId::kDigitalCameras,
-        datagen::CategoryId::kCoffeeMachinesDe}) {
-    const datagen::GeneratedCategory category =
-        datagen::GenerateCategory(id, config);
-    const std::string dir =
-        (root / text::LanguageName(category.corpus.language)).string();
-    SCOPED_TRACE(dir);
-    ASSERT_TRUE(core::SaveCorpus(category.corpus, dir).ok());
-
-    auto loaded = core::LoadCorpus(dir);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    const core::ProcessedCorpus reference =
-        core::ProcessCorpus(loaded.value(), 1);
-    const std::string corpus_bytes = Serialize(reference);
-    const std::string candidates_bytes =
-        Serialize(core::DiscoverCandidates(reference));
-    ASSERT_FALSE(candidates_bytes.empty());
-
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      core::IngestOptions options;
-      options.threads = threads;
-      auto ingested = core::IngestCorpusDir(dir, options);
-      ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
-      EXPECT_EQ(Serialize(ingested.value().corpus), corpus_bytes);
-      EXPECT_EQ(Serialize(ingested.value().candidates), candidates_bytes);
-    }
-  }
-
-  // A missing directory fails with LoadCorpus's status.
-  const std::string missing = (root / "missing").string();
-  auto failed = core::IngestCorpusDir(missing, core::IngestOptions{});
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), core::LoadCorpus(missing).status().code());
 }
 
 // ---------------- full bootstrap pipeline ----------------

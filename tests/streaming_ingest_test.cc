@@ -1,8 +1,8 @@
-// Byte-equality proof for the streaming ingestion (core/ingest.h): the
-// single-pass pipeline (and its on-disk streaming variant) must produce
-// memcmp-identical ProcessedCorpus, CandidateSet, Vocab, and Seed
-// artifacts to the barrier pipeline (LoadCorpus → ProcessCorpus →
-// DiscoverCandidates → BuildSeed) at every thread count.
+// Equality proof for on-disk ingestion (core/ingest.h): IngestCorpusDir
+// must produce a ProcessedCorpus, CandidateSet and Seed byte-identical to
+// the stage-by-stage pipeline (LoadCorpus → ProcessCorpus →
+// DiscoverCandidates → BuildSeed) at every thread count, for both
+// tokenizers, and fail on a missing directory exactly as LoadCorpus does.
 
 #include "core/ingest.h"
 
@@ -12,13 +12,14 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/corpus_io.h"
 #include "core/document.h"
 #include "core/preprocess.h"
 #include "datagen/generator.h"
-#include "text/vocab.h"
+#include "scratch_dir.h"
 
 namespace pae::core {
 namespace {
@@ -68,14 +69,6 @@ std::string Serialize(const CandidateSet& candidates) {
   return os.str();
 }
 
-std::string Serialize(const text::Vocab& vocab) {
-  std::ostringstream os;
-  for (size_t id = 0; id < vocab.size(); ++id) {
-    os << vocab.Word(static_cast<int32_t>(id)) << '\x1f';
-  }
-  return os.str();
-}
-
 std::string Serialize(const Seed& seed) {
   std::ostringstream os;
   os << seed.candidates_before_cleaning << '\x1f'
@@ -102,93 +95,66 @@ std::string Serialize(const Seed& seed) {
   return os.str();
 }
 
-/// The barrier pipeline's token vocabulary: a serial GetOrAdd over
-/// every token in page-major order.
-text::Vocab SerialVocab(const ProcessedCorpus& corpus) {
-  text::Vocab vocab;
-  for (const ProcessedPage& page : corpus.pages) {
-    for (const auto& sentence : page.sentences) {
-      for (const std::string& token : sentence.tokens) {
-        vocab.GetOrAdd(token);
-      }
-    }
-  }
-  return vocab;
+/// Saves `corpus` under a fresh directory of this process's scratch dir.
+std::string SaveToScratch(const Corpus& corpus, const std::string& name) {
+  const std::string dir = test::ScratchPath(name);
+  fs::remove_all(dir);
+  EXPECT_TRUE(SaveCorpus(corpus, dir).ok());
+  return dir;
 }
 
-TEST(StreamingIngestTest, MatchesBarrierPipelineAtEveryThreadCount) {
-  const datagen::GeneratedCategory category = MakeCategory(120, 4242);
-
-  // Barrier reference: the existing four-phase pipeline, single thread.
-  const ProcessedCorpus barrier = ProcessCorpus(category.corpus, 1);
-  const std::string barrier_corpus_bytes = Serialize(barrier);
-  const std::string barrier_candidates_bytes =
-      Serialize(DiscoverCandidates(barrier));
-  const std::string barrier_vocab_bytes = Serialize(SerialVocab(barrier));
-  const std::string barrier_seed_bytes =
-      Serialize(BuildSeed(barrier, PreprocessConfig{}));
-  ASSERT_FALSE(barrier_candidates_bytes.empty());
-  ASSERT_FALSE(barrier_vocab_bytes.empty());
+/// Ingests `dir` at 1, 4 and 8 threads and checks every arm against
+/// the stage-by-stage pipeline run serially on LoadCorpus(dir).
+void ExpectIngestMatchesStages(const std::string& dir) {
+  auto loaded = LoadCorpus(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ProcessedCorpus reference = ProcessCorpus(loaded.value(), 1);
+  const std::string corpus_bytes = Serialize(reference);
+  const std::string candidates_bytes = Serialize(DiscoverCandidates(reference));
+  const std::string seed_bytes =
+      Serialize(BuildSeed(reference, PreprocessConfig{}));
+  ASSERT_FALSE(candidates_bytes.empty());
 
   for (int threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     IngestOptions options;
     options.threads = threads;
-    const IngestedCorpus ingested = IngestCorpus(category.corpus, options);
-    EXPECT_EQ(Serialize(ingested.corpus), barrier_corpus_bytes);
-    EXPECT_EQ(Serialize(ingested.candidates), barrier_candidates_bytes);
-    EXPECT_EQ(Serialize(ingested.token_vocab), barrier_vocab_bytes);
-    EXPECT_EQ(Serialize(BuildSeedFromCandidates(
-                  ingested.corpus, ingested.candidates, PreprocessConfig{})),
-              barrier_seed_bytes);
+    auto ingested = IngestCorpusDir(dir, options);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    EXPECT_EQ(Serialize(ingested.value().corpus), corpus_bytes);
+    EXPECT_EQ(Serialize(ingested.value().candidates), candidates_bytes);
+    EXPECT_EQ(Serialize(BuildSeedFromCandidates(ingested.value().corpus,
+                                                ingested.value().candidates,
+                                                PreprocessConfig{})),
+              seed_bytes);
   }
 }
 
+TEST(StreamingIngestTest, MatchesBarrierPipelineAtEveryThreadCount) {
+  const datagen::GeneratedCategory category = MakeCategory(120, 4242);
+  ExpectIngestMatchesStages(SaveToScratch(category.corpus, "ja"));
+}
+
 TEST(StreamingIngestTest, GermanCategoryMatchesBarrierPipeline) {
-  // Latin-tokenizer coverage: the Japanese default above never touches
-  // the LatinTokenizer arm of the fused segmenter.
+  // Latin-tokenizer coverage: the Japanese category above never touches
+  // the LatinTokenizer.
   datagen::GeneratorConfig config;
   config.num_products = 90;
   config.seed = 1337;
   const datagen::GeneratedCategory category = datagen::GenerateCategory(
       datagen::CategoryId::kCoffeeMachinesDe, config);
   ASSERT_EQ(category.corpus.language, text::Language::kDe);
-
-  const ProcessedCorpus barrier = ProcessCorpus(category.corpus, 1);
-  const std::string barrier_corpus_bytes = Serialize(barrier);
-  const std::string barrier_candidates_bytes =
-      Serialize(DiscoverCandidates(barrier));
-  const std::string barrier_vocab_bytes = Serialize(SerialVocab(barrier));
-  ASSERT_FALSE(barrier_candidates_bytes.empty());
-
-  for (int threads : {1, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    IngestOptions options;
-    options.threads = threads;
-    const IngestedCorpus ingested = IngestCorpus(category.corpus, options);
-    EXPECT_EQ(Serialize(ingested.corpus), barrier_corpus_bytes);
-    EXPECT_EQ(Serialize(ingested.candidates), barrier_candidates_bytes);
-    EXPECT_EQ(Serialize(ingested.token_vocab), barrier_vocab_bytes);
-  }
+  ExpectIngestMatchesStages(SaveToScratch(category.corpus, "de"));
 }
 
 TEST(StreamingIngestTest, DiskStreamingMatchesInMemoryIngestion) {
+  // Reference is the generated corpus processed in memory, never written
+  // out: the save/load round trip must change nothing observable.
   const datagen::GeneratedCategory category = MakeCategory(80, 777);
-  const std::string dir =
-      (fs::temp_directory_path() / "pae_streaming_ingest").string();
-  fs::remove_all(dir);
-  ASSERT_TRUE(SaveCorpus(category.corpus, dir).ok());
-
-  // The on-disk round trip may reorder/rename nothing, but go through
-  // LoadCorpus once so the reference saw exactly the same bytes.
-  auto loaded = LoadCorpus(dir);
-  ASSERT_TRUE(loaded.ok());
-  IngestOptions serial;
-  serial.threads = 1;
-  const IngestedCorpus reference = IngestCorpus(loaded.value(), serial);
-  const std::string corpus_bytes = Serialize(reference.corpus);
-  const std::string candidates_bytes = Serialize(reference.candidates);
-  const std::string vocab_bytes = Serialize(reference.token_vocab);
+  const ProcessedCorpus in_memory = ProcessCorpus(category.corpus, 1);
+  const std::string corpus_bytes = Serialize(in_memory);
+  const std::string candidates_bytes = Serialize(DiscoverCandidates(in_memory));
+  const std::string dir = SaveToScratch(category.corpus, "round_trip");
 
   for (int threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -198,32 +164,14 @@ TEST(StreamingIngestTest, DiskStreamingMatchesInMemoryIngestion) {
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_EQ(Serialize(streamed.value().corpus), corpus_bytes);
     EXPECT_EQ(Serialize(streamed.value().candidates), candidates_bytes);
-    EXPECT_EQ(Serialize(streamed.value().token_vocab), vocab_bytes);
   }
-  fs::remove_all(dir);
-}
-
-TEST(StreamingIngestTest, SizeHintOverridesAreHonored) {
-  const datagen::GeneratedCategory category = MakeCategory(30, 99);
-  IngestOptions options;
-  options.threads = 2;
-  // Generous explicit hints must not change the output, only sizing.
-  options.expected_distinct_tokens = 1 << 16;
-  options.expected_distinct_pairs = 1 << 12;
-  const IngestedCorpus hinted = IngestCorpus(category.corpus, options);
-  IngestOptions defaults;
-  defaults.threads = 2;
-  const IngestedCorpus derived = IngestCorpus(category.corpus, defaults);
-  EXPECT_EQ(Serialize(hinted.candidates), Serialize(derived.candidates));
-  EXPECT_EQ(Serialize(hinted.token_vocab), Serialize(derived.token_vocab));
 }
 
 TEST(StreamingIngestTest, MissingDirectoryFailsLikeLoadCorpus) {
-  IngestOptions options;
-  auto result = IngestCorpusDir(
-      (fs::temp_directory_path() / "pae_ingest_missing").string(), options);
+  const std::string missing = test::ScratchPath("missing");
+  auto result = IngestCorpusDir(missing, IngestOptions{});
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), LoadCorpus("/nonexistent").status().code());
+  EXPECT_EQ(result.status().code(), LoadCorpus(missing).status().code());
 }
 
 }  // namespace
